@@ -19,12 +19,28 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double exponent)
   }
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against fp round-off
+
+  guide_.resize(n);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double threshold = static_cast<double>(j) / static_cast<double>(n);
+    while (cdf_[k] < threshold) ++k;
+    guide_[j] = static_cast<std::uint32_t>(k);
+  }
 }
 
-std::size_t ZipfDistribution::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(std::distance(cdf_.begin(), it));
+std::size_t ZipfDistribution::rank_at(double u) const noexcept {
+  // Start from u's bucket. Rounding in u * n can land one bucket high, so
+  // step back while the previous rank already reaches u, then forward to the
+  // first rank that does; the CDF is nondecreasing, so that rank is the
+  // lower bound.
+  const std::size_t n = cdf_.size();
+  const auto bucket =
+      std::min(n - 1, static_cast<std::size_t>(u * static_cast<double>(n)));
+  std::size_t k = guide_[bucket];
+  while (k > 0 && cdf_[k - 1] >= u) --k;
+  while (cdf_[k] < u) ++k;
+  return k;
 }
 
 double ZipfDistribution::pmf(std::size_t k) const {

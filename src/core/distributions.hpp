@@ -16,20 +16,27 @@
 namespace vdx::core {
 
 /// Zipf(s) sampler over ranks {0, .., n-1}: P(k) ∝ 1/(k+1)^s.
-/// Precomputes the CDF; O(log n) per sample.
+/// Inverts a precomputed CDF through a guide table: O(1) expected per
+/// sample, and always the rank a binary search of the CDF would return.
 class ZipfDistribution {
  public:
   ZipfDistribution(std::size_t n, double exponent);
 
-  [[nodiscard]] std::size_t operator()(Rng& rng) const;
+  [[nodiscard]] std::size_t operator()(Rng& rng) const { return rank_at(rng.uniform()); }
+  /// The rank a uniform draw u in [0, 1] maps to: the first k with
+  /// cdf()[k] >= u, exactly what std::lower_bound over cdf() returns.
+  [[nodiscard]] std::size_t rank_at(double u) const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
   [[nodiscard]] double exponent() const noexcept { return exponent_; }
+  [[nodiscard]] std::span<const double> cdf() const noexcept { return cdf_; }
   /// Probability mass of rank k.
   [[nodiscard]] double pmf(std::size_t k) const;
 
  private:
   double exponent_;
   std::vector<double> cdf_;  // cumulative, cdf_.back() == 1.0
+  // guide_[j]: the first rank whose CDF reaches j / n (n == size()).
+  std::vector<std::uint32_t> guide_;
 };
 
 /// Continuous bounded Pareto (power-law) sampler on [lo, hi] with density

@@ -1,6 +1,7 @@
 #include "solver/mincost_flow.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -8,6 +9,13 @@
 #include <utility>
 
 namespace vdx::solver {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kRelaxSlack = 1e-12;  // a relaxation must gain more than this
+
+}  // namespace
 
 MinCostFlowGraph::NodeId MinCostFlowGraph::add_node() {
   head_.push_back(SIZE_MAX);
@@ -47,8 +55,7 @@ void MinCostFlowGraph::build_csr() {
   const std::size_t nodes = head_.size();
   const std::size_t arcs = arc_to_.size();
   csr_start_.assign(nodes + 1, 0);
-  csr_to_.resize(arcs);
-  csr_cost_.resize(arcs);
+  csr_arcs_.resize(arcs);
   csr_twin_.resize(arcs);
   pos_of_arc_.resize(arcs);
   csr_cap_init_.resize(arcs);
@@ -67,22 +74,25 @@ void MinCostFlowGraph::build_csr() {
   // Pass 2: fill the permuted arrays (twin positions need pass 1 complete).
   for (std::size_t e = 0; e < arcs; ++e) {
     const std::uint32_t p = pos_of_arc_[e];
-    csr_to_[p] = arc_to_[e];
-    csr_cost_[p] = arc_cost_[e];
+    csr_arcs_[p] = CsrArc{arc_cost_[e], arc_to_[e]};
     csr_twin_[p] = pos_of_arc_[e ^ 1];
     csr_cap_init_[p] = initial_capacity_[e];
   }
 
   dist_.resize(nodes);
   parent_pos_.resize(nodes);
-  heap_index_.resize(nodes);
-  heap_.reserve(nodes);
+  std::uint32_t degree = 0;
+  for (std::size_t u = 0; u < nodes; ++u) {
+    degree = std::max(degree, csr_start_[u + 1] - csr_start_[u]);
+  }
+  hit_pos_.resize(degree + 1);
+  hit_dist_.resize(degree + 1);
+  active_.resize((arcs + 63) / 64);
   csr_arc_count_ = arcs;
 }
 
 bool MinCostFlowGraph::bellman_ford_potentials(NodeId source,
                                                std::vector<double>& pot) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   pot.assign(head_.size(), kInf);
   pot[source] = 0.0;
   std::deque<NodeId> queue{source};
@@ -97,9 +107,9 @@ bool MinCostFlowGraph::bellman_ford_potentials(NodeId source,
     const std::uint32_t end = csr_start_[u + 1];
     for (std::uint32_t p = begin; p < end; ++p) {
       if (residual_[p] <= 0) continue;
-      const double candidate = pot[u] + csr_cost_[p];
-      const NodeId to = csr_to_[p];
-      if (candidate < pot[to] - 1e-12) {
+      const double candidate = pot[u] + csr_arcs_[p].cost;
+      const NodeId to = csr_arcs_[p].to;
+      if (candidate < pot[to] - kRelaxSlack) {
         pot[to] = candidate;
         if (!in_queue[to]) {
           if (++relaxations[to] > head_.size() + 1) return false;  // negative cycle
@@ -117,55 +127,137 @@ bool MinCostFlowGraph::bellman_ford_potentials(NodeId source,
   return true;
 }
 
-void MinCostFlowGraph::heap_sift_up(std::uint32_t hole) {
-  while (hole > 0) {
-    const std::uint32_t up = (hole - 1) / 2;
-    if (!heap_less(heap_[hole], heap_[up])) break;
-    std::swap(heap_[hole], heap_[up]);
-    heap_index_[heap_[hole]] = hole;
-    heap_index_[heap_[up]] = up;
-    hole = up;
-  }
+void MinCostFlowGraph::RadixQueue::reset(std::size_t nodes) {
+  last_ = 0;
+  size_ = 0;
+  occupied_ = 0;
+  for (auto& bucket : buckets_) bucket.clear();
+  tie_words_.assign((nodes + 63) / 64, 0);
+  tie_summary_.assign((tie_words_.size() + 63) / 64, 0);
+  key_.resize(nodes);
+  bucket_.assign(nodes, kAbsent);
+  slot_.resize(nodes);
 }
 
-void MinCostFlowGraph::heap_sift_down(std::uint32_t hole) {
-  const auto size = static_cast<std::uint32_t>(heap_.size());
-  while (true) {
-    const std::uint32_t left = 2 * hole + 1;
-    if (left >= size) break;
-    std::uint32_t best = left;
-    const std::uint32_t right = left + 1;
-    if (right < size && heap_less(heap_[right], heap_[left])) best = right;
-    if (!heap_less(heap_[best], heap_[hole])) break;
-    std::swap(heap_[best], heap_[hole]);
-    heap_index_[heap_[hole]] = hole;
-    heap_index_[heap_[best]] = best;
-    hole = best;
-  }
+unsigned MinCostFlowGraph::RadixQueue::bucket_of_key(std::uint64_t key) const noexcept {
+  // Bucket b > 0 holds keys whose highest bit differing from last_ is b - 1.
+  return key == last_ ? 0u : 64u - static_cast<unsigned>(std::countl_zero(key ^ last_));
 }
 
-void MinCostFlowGraph::heap_push_or_decrease(NodeId node) {
-  const std::uint32_t slot = heap_index_[node];
-  if (slot == kNoPos) {
-    heap_.push_back(node);
-    heap_index_[node] = static_cast<std::uint32_t>(heap_.size() - 1);
-    heap_sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+void MinCostFlowGraph::RadixQueue::insert(NodeId node, unsigned bucket) {
+  bucket_[node] = static_cast<std::uint8_t>(bucket);
+  if (bucket == 0) {
+    tie_words_[node >> 6] |= std::uint64_t{1} << (node & 63);
+    tie_summary_[node >> 12] |= std::uint64_t{1} << ((node >> 6) & 63);
+    ++ties_;
+    return;
+  }
+  slot_[node] = static_cast<std::uint32_t>(buckets_[bucket].size());
+  buckets_[bucket].push_back(node);
+  occupied_ |= std::uint64_t{1} << (bucket - 1);
+}
+
+void MinCostFlowGraph::RadixQueue::push_or_decrease(NodeId node, double dist) {
+  const auto key = std::bit_cast<std::uint64_t>(dist);
+  const unsigned bucket = bucket_of_key(key);
+  key_[node] = key;
+  const std::uint8_t old = bucket_[node];
+  if (old == bucket) return;
+  if (old == kAbsent) {
+    ++size_;
   } else {
-    heap_sift_up(slot);  // dist only ever decreases
+    // Swap-remove from the old bucket; a lower key never leaves bucket 0.
+    std::vector<NodeId>& from = buckets_[old];
+    const NodeId moved = from.back();
+    from[slot_[node]] = moved;
+    slot_[moved] = slot_[node];
+    from.pop_back();
+    if (from.empty()) occupied_ &= ~(std::uint64_t{1} << (old - 1));
+  }
+  insert(node, bucket);
+}
+
+MinCostFlowGraph::NodeId MinCostFlowGraph::RadixQueue::pop_min() {
+  if (ties_ == 0) {
+    // Advance last_ to the smallest key of the first non-empty bucket and
+    // spread that bucket over the lower ones.
+    const unsigned bucket = 1u + static_cast<unsigned>(std::countr_zero(occupied_));
+    std::vector<NodeId> spill;
+    spill.swap(buckets_[bucket]);
+    occupied_ &= ~(std::uint64_t{1} << (bucket - 1));
+    std::uint64_t least = key_[spill.front()];
+    for (const NodeId node : spill) least = std::min(least, key_[node]);
+    last_ = least;
+    for (const NodeId node : spill) insert(node, bucket_of_key(key_[node]));
+    spill.clear();
+    spill.swap(buckets_[bucket]);  // keep the capacity
+  }
+  // The smallest tied node id: first set bit under the first set summary bit.
+  std::size_t group = 0;
+  while (tie_summary_[group] == 0) ++group;
+  const std::size_t word =
+      group * 64 + static_cast<std::size_t>(std::countr_zero(tie_summary_[group]));
+  const auto bit = static_cast<unsigned>(std::countr_zero(tie_words_[word]));
+  const auto node = static_cast<NodeId>(word * 64 + bit);
+  tie_words_[word] &= tie_words_[word] - 1;
+  if (tie_words_[word] == 0) tie_summary_[group] &= tie_summary_[group] - 1;
+  --ties_;
+  bucket_[node] = kAbsent;
+  --size_;
+  return node;
+}
+
+void MinCostFlowGraph::set_residual(std::uint32_t pos, std::int64_t value) {
+  residual_[pos] = value;
+  const std::uint64_t bit = std::uint64_t{1} << (pos & 63);
+  if (value > 0) {
+    active_[pos >> 6] |= bit;
+  } else {
+    active_[pos >> 6] &= ~bit;
   }
 }
 
-MinCostFlowGraph::NodeId MinCostFlowGraph::heap_pop_min() {
-  const NodeId top = heap_[0];
-  heap_index_[top] = kNoPos;
-  const NodeId last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = last;
-    heap_index_[last] = 0;
-    heap_sift_down(0);
+void MinCostFlowGraph::relax(NodeId u, const std::vector<double>& pot) {
+  const double du = dist_[u];
+  const double pu = pot[u];
+  const std::uint32_t begin = csr_start_[u];
+  const std::uint32_t end = csr_start_[u + 1];
+  if (begin == end) return;
+  // Pass one scores every arc with capacity left against the distances as
+  // they stand, without branching on the outcome. Pass two applies the arcs
+  // that passed, in CSR order, re-testing each against the current distance:
+  // an earlier arc of the block may have lowered it. An arc that failed pass
+  // one would fail against any lower distance too, so the outcome is that of
+  // a single pass relaxing arc by arc.
+  std::uint32_t hits = 0;
+  const std::uint32_t first_word = begin >> 6;
+  const std::uint32_t last_word = (end - 1) >> 6;
+  for (std::uint32_t word = first_word; word <= last_word; ++word) {
+    std::uint64_t bits = active_[word];
+    if (word == first_word) bits &= ~std::uint64_t{0} << (begin & 63);
+    if (word == last_word) bits &= ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
+    while (bits != 0) {
+      const std::uint32_t p =
+          (word << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      const NodeId to = csr_arcs_[p].to;
+      const double reduced = csr_arcs_[p].cost + pu - pot[to];
+      const double candidate = du + std::max(0.0, reduced);
+      hit_pos_[hits] = p;
+      hit_dist_[hits] = candidate;
+      hits += candidate < dist_[to] - kRelaxSlack ? 1u : 0u;
+    }
   }
-  return top;
+  for (std::uint32_t i = 0; i < hits; ++i) {
+    const std::uint32_t p = hit_pos_[i];
+    const NodeId to = csr_arcs_[p].to;
+    const double candidate = hit_dist_[i];
+    if (candidate < dist_[to] - kRelaxSlack) {
+      dist_[to] = candidate;
+      parent_pos_[to] = p;
+      queue_.push_or_decrease(to, candidate);
+    }
+  }
 }
 
 MinCostFlowGraph::FlowResult MinCostFlowGraph::solve(NodeId source, NodeId sink,
@@ -174,8 +266,9 @@ MinCostFlowGraph::FlowResult MinCostFlowGraph::solve(NodeId source, NodeId sink,
     throw std::invalid_argument{"MinCostFlowGraph::solve: unknown node"};
   }
   build_csr();
-  // Reset residual capacities from any prior run.
+  // Reset residual capacities (and the active-arc bits) from any prior run.
   residual_ = csr_cap_init_;
+  for (std::uint32_t p = 0; p < residual_.size(); ++p) set_residual(p, residual_[p]);
 
   FlowResult result;
   if (target_flow <= 0) {
@@ -188,37 +281,18 @@ MinCostFlowGraph::FlowResult MinCostFlowGraph::solve(NodeId source, NodeId sink,
     throw std::runtime_error{"MinCostFlowGraph: negative cycle in costs"};
   }
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t nodes = head_.size();
 
   while (result.flow < target_flow) {
     // Dijkstra on reduced costs. Each reached node pops exactly once, in
-    // increasing (dist, node) order — the same effective sequence the lazy
-    // heap produced — and scans its CSR block once.
+    // increasing (dist, node) order, and relaxes the arcs of its CSR block
+    // that have residual capacity, in block order.
     std::fill(dist_.begin(), dist_.end(), kInf);
     std::fill(parent_pos_.begin(), parent_pos_.end(), kNoPos);
-    std::fill(heap_index_.begin(), heap_index_.end(), kNoPos);
-    heap_.clear();
+    queue_.reset(nodes);
     dist_[source] = 0.0;
-    heap_push_or_decrease(source);
-    while (!heap_.empty()) {
-      const NodeId u = heap_pop_min();
-      const double du = dist_[u];
-      const double pu = pot[u];
-      const std::uint32_t begin = csr_start_[u];
-      const std::uint32_t end = csr_start_[u + 1];
-      for (std::uint32_t p = begin; p < end; ++p) {
-        if (residual_[p] <= 0) continue;
-        const NodeId to = csr_to_[p];
-        const double reduced = csr_cost_[p] + pu - pot[to];
-        const double candidate = du + std::max(0.0, reduced);
-        if (candidate < dist_[to] - 1e-12) {
-          dist_[to] = candidate;
-          parent_pos_[to] = p;
-          heap_push_or_decrease(to);
-        }
-      }
-    }
+    queue_.push_or_decrease(source, 0.0);
+    while (!queue_.empty()) relax(queue_.pop_min(), pot);
     if (dist_[sink] == kInf) break;  // no augmenting path left
 
     for (std::size_t v = 0; v < nodes; ++v) {
@@ -230,14 +304,15 @@ MinCostFlowGraph::FlowResult MinCostFlowGraph::solve(NodeId source, NodeId sink,
     for (NodeId v = sink; v != source;) {
       const std::uint32_t p = parent_pos_[v];
       push = std::min(push, residual_[p]);
-      v = csr_to_[csr_twin_[p]];
+      v = csr_arcs_[csr_twin_[p]].to;
     }
     for (NodeId v = sink; v != source;) {
       const std::uint32_t p = parent_pos_[v];
-      residual_[p] -= push;
-      residual_[csr_twin_[p]] += push;
-      result.cost += static_cast<double>(push) * csr_cost_[p];
-      v = csr_to_[csr_twin_[p]];
+      const std::uint32_t twin = csr_twin_[p];
+      set_residual(p, residual_[p] - push);
+      set_residual(twin, residual_[twin] + push);
+      result.cost += static_cast<double>(push) * csr_arcs_[p].cost;
+      v = csr_arcs_[twin].to;
     }
     result.flow += push;
   }

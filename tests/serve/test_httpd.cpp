@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -146,6 +147,63 @@ TEST(ServeHttpd, EmptyRegistryStillServes) {
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
 }
 
+/// Peppers the process with SIGALRM every 2 ms through a no-op handler
+/// installed without SA_RESTART, so blocking calls surface EINTR. The
+/// constructing thread blocks SIGALRM, so every tick lands on the threads
+/// that leave it unblocked — the Httpd serve thread, mid-read or mid-send.
+///
+/// Teardown order matters. A tick can still be pending for a CPU-starved
+/// serve thread after the timer stops; delivered under SIG_DFL it would kill
+/// the process. So the destructor disarms the timer, drains any pending tick
+/// while the no-op handler is still installed, and only then restores the
+/// previous handler and signal mask. As a destructor it also runs when an
+/// ASSERT_* returns early, so no path leaves the timer armed.
+class AlarmStorm {
+ public:
+  AlarmStorm() {
+    struct sigaction action {};
+    action.sa_handler = [](int) {};
+    sigemptyset(&action.sa_mask);
+    handler_installed_ = sigaction(SIGALRM, &action, &previous_) == 0;
+    sigset_t block;
+    sigemptyset(&block);
+    sigaddset(&block, SIGALRM);
+    mask_saved_ = pthread_sigmask(SIG_BLOCK, &block, &old_mask_) == 0;
+    itimerval timer{};
+    timer.it_interval = {0, 2000};  // every 2ms
+    timer.it_value = {0, 2000};
+    armed_ = handler_installed_ && mask_saved_ &&
+             setitimer(ITIMER_REAL, &timer, nullptr) == 0;
+  }
+
+  ~AlarmStorm() {
+    const itimerval disarm{};
+    setitimer(ITIMER_REAL, &disarm, nullptr);
+    // SIGALRM is blocked here, so sigtimedwait consumes a tick still pending
+    // for the process instead of letting a later delivery find SIG_DFL.
+    sigset_t alarm;
+    sigemptyset(&alarm);
+    sigaddset(&alarm, SIGALRM);
+    const timespec no_wait{};
+    while (sigtimedwait(&alarm, nullptr, &no_wait) == SIGALRM) {
+    }
+    if (handler_installed_) sigaction(SIGALRM, &previous_, nullptr);
+    if (mask_saved_) pthread_sigmask(SIG_SETMASK, &old_mask_, nullptr);
+  }
+
+  AlarmStorm(const AlarmStorm&) = delete;
+  AlarmStorm& operator=(const AlarmStorm&) = delete;
+
+  [[nodiscard]] bool armed() const noexcept { return armed_; }
+
+ private:
+  struct sigaction previous_ {};
+  sigset_t old_mask_{};
+  bool handler_installed_ = false;
+  bool mask_saved_ = false;
+  bool armed_ = false;
+};
+
 // Regression: the response loop used to abort on any write() that returned
 // -1 — including EINTR — silently truncating large /metrics bodies; a peer
 // that disconnected mid-send could even raise a fatal SIGPIPE. Scrape a
@@ -161,53 +219,36 @@ TEST(ServeHttpd, LargeScrapeSurvivesSignalsAndShortWrites) {
   Httpd httpd{registry, 0};
   ASSERT_GT(httpd.port(), 0);
 
-  // The serve thread inherited an unblocked SIGALRM at construction; block
-  // it here so every timer tick is delivered to the serve thread, landing
-  // mid-read or mid-send.
-  struct sigaction action {};
-  action.sa_handler = [](int) {};
-  // No SA_RESTART: the whole point is to surface EINTR to the server.
-  sigemptyset(&action.sa_mask);
-  struct sigaction previous {};
-  ASSERT_EQ(sigaction(SIGALRM, &action, &previous), 0);
-  sigset_t block, old_mask;
-  sigemptyset(&block);
-  sigaddset(&block, SIGALRM);
-  ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &block, &old_mask), 0);
-  itimerval timer{};
-  timer.it_interval = {0, 2000};  // every 2ms
-  timer.it_value = {0, 2000};
-  ASSERT_EQ(setitimer(ITIMER_REAL, &timer, nullptr), 0);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  const int rcvbuf = 4096;  // keep the server's sends short
-  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(httpd.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-
-  // Drain slowly so the server's socket buffer stays full and its writes
-  // keep blocking (prime EINTR territory).
   std::string response;
-  char buffer[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    response.append(buffer, static_cast<std::size_t>(n));
-    ::usleep(200);
-  }
-  ::close(fd);
+  {
+    // The serve thread inherited an unblocked SIGALRM at construction.
+    AlarmStorm storm;
+    ASSERT_TRUE(storm.armed());
 
-  const itimerval disarm{};
-  setitimer(ITIMER_REAL, &disarm, nullptr);
-  sigaction(SIGALRM, &previous, nullptr);
-  pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int rcvbuf = 4096;  // keep the server's sends short
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(httpd.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+
+    // Drain slowly so the server's socket buffer stays full and its writes
+    // keep blocking (prime EINTR territory).
+    char buffer[4096];
+    while (true) {
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+      if (n <= 0) break;
+      response.append(buffer, static_cast<std::size_t>(n));
+      ::usleep(200);
+    }
+    ::close(fd);
+  }
 
   // The advertised length and the delivered body must agree exactly.
   const std::size_t header_at = response.find("Content-Length: ");
