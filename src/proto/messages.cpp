@@ -181,8 +181,14 @@ MessageType type_of(const Message& message) noexcept {
       message);
 }
 
+std::size_t encoded_size(const Message& message) noexcept {
+  return kHeaderSize + payload_size(static_cast<std::uint8_t>(type_of(message))) +
+         kChecksumSize;
+}
+
 std::vector<std::uint8_t> encode(const Message& message) {
   ByteWriter w;
+  w.reserve(encoded_size(message));
   w.write_u32(0);  // length placeholder
   w.write_u8(static_cast<std::uint8_t>(type_of(message)));
   w.write_u16(kProtocolVersion);

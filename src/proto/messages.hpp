@@ -111,6 +111,9 @@ using Message = std::variant<ShareMessage, BidMessage, AcceptMessage, QueryMessa
 /// Encodes a message with its envelope.
 [[nodiscard]] std::vector<std::uint8_t> encode(const Message& message);
 
+/// Size of encode(message), a constant per type: every field is fixed-width.
+[[nodiscard]] std::size_t encoded_size(const Message& message) noexcept;
+
 /// Decodes one enveloped message; throws WireError on malformed input.
 /// `consumed` (optional) receives the total envelope size, enabling framed
 /// streams of back-to-back messages.

@@ -8,13 +8,6 @@ namespace vdx::proto {
 namespace {
 
 template <typename T>
-void append_le(std::vector<std::uint8_t>& out, T value) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-template <typename T>
 T read_le(std::span<const std::uint8_t> data, std::size_t pos) {
   T value = 0;
   for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -24,15 +17,6 @@ T read_le(std::span<const std::uint8_t> data, std::size_t pos) {
 }
 
 }  // namespace
-
-void ByteWriter::write_u8(std::uint8_t value) { data_.push_back(value); }
-void ByteWriter::write_u16(std::uint16_t value) { append_le(data_, value); }
-void ByteWriter::write_u32(std::uint32_t value) { append_le(data_, value); }
-void ByteWriter::write_u64(std::uint64_t value) { append_le(data_, value); }
-
-void ByteWriter::write_f64(double value) {
-  write_u64(std::bit_cast<std::uint64_t>(value));
-}
 
 void ByteWriter::write_string(std::string_view value) {
   if (value.size() > UINT32_MAX) throw WireError{"string too long"};

@@ -6,6 +6,7 @@
 // malformed peer must never crash the exchange.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -23,11 +24,12 @@ class WireError : public std::runtime_error {
 
 class ByteWriter {
  public:
-  void write_u8(std::uint8_t value);
-  void write_u16(std::uint16_t value);
-  void write_u32(std::uint32_t value);
-  void write_u64(std::uint64_t value);
-  void write_f64(double value);
+  // The fixed-width writers are inline: the codec calls them once per field.
+  void write_u8(std::uint8_t value) { data_.push_back(value); }
+  void write_u16(std::uint16_t value) { append_le(value); }
+  void write_u32(std::uint32_t value) { append_le(value); }
+  void write_u64(std::uint64_t value) { append_le(value); }
+  void write_f64(double value) { append_le(std::bit_cast<std::uint64_t>(value)); }
   /// u32 length prefix + raw bytes.
   void write_string(std::string_view value);
   void write_bytes(std::span<const std::uint8_t> value);
@@ -35,11 +37,21 @@ class ByteWriter {
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept { return data_; }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(data_); }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
+  void reserve(std::size_t bytes) { data_.reserve(bytes); }
 
   /// Overwrites 4 bytes at `offset` (for back-patching length prefixes).
   void patch_u32(std::size_t offset, std::uint32_t value);
 
  private:
+  template <typename T>
+  void append_le(T value) {
+    std::uint8_t bytes[sizeof(T)]{};
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    data_.insert(data_.end(), bytes, bytes + sizeof(T));
+  }
+
   std::vector<std::uint8_t> data_;
 };
 
