@@ -40,6 +40,19 @@ constexpr std::uint32_t kCoordWorkersSection = 33;
   return std::isfinite(v) && v >= 0.0;
 }
 
+/// Makes room for `extra` more entries without ever shrinking the table.
+/// unordered_map::reserve rehashes to the requested size even when that is
+/// below the current bucket count, which would rehash a whole book on every
+/// steady-state churn batch.
+template <typename Map>
+void reserve_more(Map& map, std::size_t extra) {
+  const std::size_t want = map.size() + extra;
+  if (static_cast<double>(want) >
+      static_cast<double>(map.bucket_count()) * map.max_load_factor()) {
+    map.reserve(want);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -102,35 +115,47 @@ std::uint64_t ShardPlan::hash() const noexcept {
 
 core::Status SessionLedger::apply(std::span<const proto::ShardSessionAdd> adds,
                                   std::span<const std::uint32_t> removes) {
-  // Validate the whole batch first: a rejected batch must mutate nothing.
-  // (Within a batch, adds are applied before removes.)
-  std::map<std::uint32_t, std::pair<std::uint32_t, double>> batch;
-  for (const proto::ShardSessionAdd& add : adds) {
-    if (!std::isfinite(add.bitrate_mbps) || add.bitrate_mbps <= 0.0) {
-      return invalid("session ledger: bitrate must be finite and > 0");
+  // Validate-then-commit through an undo log: each new id is inserted as it
+  // validates, and a rejected batch erases exactly those ids again, so it
+  // mutates nothing. (Within a batch, adds are applied before removes.)
+  std::vector<Sessions::value_type*> inserted;
+  inserted.reserve(adds.size());
+  const auto rollback = [&] {
+    for (const Sessions::value_type* entry : inserted) {
+      const std::uint32_t id = entry->first;  // a key that outlives its node
+      sessions_.erase(id);
     }
-    const std::pair<std::uint32_t, double> data{add.city, add.bitrate_mbps};
-    if (const auto it = sessions_.find(add.id); it != sessions_.end()) {
-      if (it->second != data) {
-        return invalid("session ledger: session " + std::to_string(add.id) +
-                       " re-added with different city/bitrate");
+  };
+  const auto reject = [&](std::string message) {
+    rollback();
+    return invalid(std::move(message));
+  };
+  try {
+    reserve_more(sessions_, adds.size());
+    for (const proto::ShardSessionAdd& add : adds) {
+      if (!std::isfinite(add.bitrate_mbps) || add.bitrate_mbps <= 0.0) {
+        return reject("session ledger: bitrate must be finite and > 0");
       }
-      continue;  // idempotent re-add
-    }
-    if (const auto it = batch.find(add.id); it != batch.end()) {
-      if (it->second != data) {
-        return invalid("session ledger: session " + std::to_string(add.id) +
-                       " added twice with different city/bitrate");
+      const std::pair<std::uint32_t, double> data{add.city, add.bitrate_mbps};
+      const auto [it, fresh] = sessions_.try_emplace(add.id, data);
+      if (fresh) {
+        inserted.push_back(&*it);
+        continue;
       }
-      continue;
+      if (it->second == data) continue;  // idempotent re-add
+      const bool same_batch =
+          std::any_of(inserted.begin(), inserted.end(),
+                      [&](const Sessions::value_type* e) { return e->first == add.id; });
+      return reject("session ledger: session " + std::to_string(add.id) +
+                    (same_batch ? " added twice with different city/bitrate"
+                                : " re-added with different city/bitrate"));
     }
-    batch.emplace(add.id, data);
+  } catch (...) {
+    rollback();
+    throw;
   }
   // Commit.
-  for (const auto& [id, data] : batch) {
-    sessions_.emplace(id, data);
-    counts_[data] += 1.0;
-  }
+  for (const Sessions::value_type* entry : inserted) counts_[entry->second] += 1.0;
   for (const std::uint32_t id : removes) {
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) continue;  // idempotent re-remove
@@ -170,6 +195,11 @@ std::vector<proto::ShardSessionAdd> SessionLedger::sessions() const {
   for (const auto& [id, data] : sessions_) {
     out.push_back(proto::ShardSessionAdd{id, data.first, data.second});
   }
+  // Id order, never hash order: these bytes go into worker snapshots.
+  std::sort(out.begin(), out.end(),
+            [](const proto::ShardSessionAdd& a, const proto::ShardSessionAdd& b) {
+              return a.id < b.id;
+            });
   return out;
 }
 
@@ -687,6 +717,7 @@ ShardedExchange::ShardedExchange(const sim::Scenario& scenario, ShardedConfig co
   settlement_ = std::make_unique<VdxExchange>(scenario_, config_.exchange);
   background_loads_ = sim::place_background(scenario_);
   last_slices_.resize(plan_.shard_count);
+  shard_clients_.assign(plan_.shard_count, 0.0);
   if (config_.link_faults.any()) {
     link_injector_ = std::make_unique<proto::FaultInjector>(config_.link_faults);
   }
@@ -1211,11 +1242,19 @@ core::Status ShardedExchange::push_session_delta(
   }
   delta_pending_ = false;
   // Commit routing only after every shard accepted its delta. Adds first,
-  // then removes — the same order the workers applied them in.
+  // then removes — the same order the workers applied them in. A re-added id
+  // already routes to this shard (checked above), so only new ids count.
+  reserve_more(session_shard_, adds.size());
   for (const proto::ShardSessionAdd& add : adds) {
-    session_shard_[add.id] = plan_.shard_of_city[add.city];
+    const std::uint32_t shard = plan_.shard_of_city[add.city];
+    if (session_shard_.try_emplace(add.id, shard).second) shard_clients_[shard] += 1.0;
   }
-  for (const std::uint32_t id : removes) session_shard_.erase(id);
+  for (const std::uint32_t id : removes) {
+    const auto it = session_shard_.find(id);
+    if (it == session_shard_.end()) continue;
+    shard_clients_[it->second] -= 1.0;
+    session_shard_.erase(it);
+  }
   mode_ = ShardDemandMode::kSessions;
   fed_ = true;
   demand_dirty_ = true;
@@ -1285,13 +1324,10 @@ core::Result<std::vector<broker::ClientGroup>> ShardedExchange::collect_and_merg
   // population. Merging either slice would silently settle without those
   // sessions, so the round fails closed instead. Every session contributes
   // exactly 1.0 to its group's client_count, so the sums are exact doubles.
-  std::vector<double> expected_clients(plan_.shard_count, 0.0);
-  if (mode_ == ShardDemandMode::kSessions) {
-    for (const auto& [id, owner] : session_shard_) expected_clients[owner] += 1.0;
-  }
-
   std::vector<proto::ShardGroup> all;
   for (std::size_t s = 0; s < responses.value().size(); ++s) {
+    const double expected_clients =
+        mode_ == ShardDemandMode::kSessions ? shard_clients_[s] : 0.0;
     const ShardFrame& frame = responses.value()[s];
     if (frame.type != ShardFrameType::kBidCandidates || frame.round != round) {
       return R::failure(Errc::kCorruptFrame,
@@ -1300,7 +1336,7 @@ core::Result<std::vector<broker::ClientGroup>> ShardedExchange::collect_and_merg
     }
     auto candidates = proto::decode_candidates(frame.payload);
     if (!candidates.ok()) return R{candidates.error()};
-    if (expected_clients[s] > 0.0 &&
+    if (expected_clients > 0.0 &&
         candidates.value().mode != ShardDemandMode::kSessions) {
       return R::failure(Errc::kUnavailable,
                         "collect: shard " + std::to_string(s) +
@@ -1314,12 +1350,12 @@ core::Result<std::vector<broker::ClientGroup>> ShardedExchange::collect_and_merg
       for (const proto::ShardGroup& g : candidates.value().groups) {
         held += g.group.client_count;
       }
-      if (held != expected_clients[s]) {
+      if (held != expected_clients) {
         return R::failure(
             Errc::kUnavailable,
             "collect: shard " + std::to_string(s) + " holds " +
                 std::to_string(held) + " session clients but routing expects " +
-                std::to_string(expected_clients[s]));
+                std::to_string(expected_clients));
       }
     }
     for (proto::ShardGroup& g : candidates.value().groups) {
@@ -1751,7 +1787,12 @@ core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& v
   pending_delta_hash_ = 0;
   background_loads_ = std::move(core.background_loads);
   session_shard_.clear();
+  session_shard_.reserve(core.session_shard.size());
   for (const auto& [id, shard] : core.session_shard) session_shard_[id] = shard;
+  // Recount from the final table: a crafted snapshot may list an id twice,
+  // and the last entry wins.
+  shard_clients_.assign(plan_.shard_count, 0.0);
+  for (const auto& [id, shard] : session_shard_) shard_clients_[shard] += 1.0;
   last_slices_ = std::move(slices);
 
   if (embedded_workers) {

@@ -98,6 +98,10 @@ struct ShardPlan {
 /// in (city, bitrate) order reproduces the global ledger's groups exactly.
 /// That equality is what makes the session-fed sharded exchange
 /// byte-identical to a monolith fed the same deltas.
+///
+/// The id index is a hash map, so a batch costs O(batch), not
+/// O(batch · log population); nothing observable walks it in hash order
+/// (groups() walks the ordered counts, sessions() sorts by id).
 class SessionLedger {
  public:
   /// Validates the whole batch, then applies it — a rejected batch mutates
@@ -115,12 +119,15 @@ class SessionLedger {
   [[nodiscard]] std::size_t size() const noexcept { return sessions_.size(); }
   void clear() noexcept;
 
-  /// Serialized session set (save/restore round-trips exactly).
+  /// Serialized session set in ascending id order (save/restore
+  /// round-trips exactly).
   [[nodiscard]] std::vector<proto::ShardSessionAdd> sessions() const;
 
  private:
+  using Sessions = std::unordered_map<std::uint32_t, std::pair<std::uint32_t, double>>;
+
   /// id -> (city, bitrate).
-  std::map<std::uint32_t, std::pair<std::uint32_t, double>> sessions_;
+  Sessions sessions_;
   /// (city, bitrate) -> active count. Counts are exact sums of 1.0.
   std::map<std::pair<std::uint32_t, double>, double> counts_;
 };
@@ -438,8 +445,12 @@ class ShardedExchange final : public ExchangeFrontend {
   /// Last pushed demand slice per shard (storeless worker recovery, and the
   /// coordinator checkpoint payload).
   std::vector<std::vector<proto::ShardGroup>> last_slices_;
-  /// Session-mode routing: id -> owning shard.
+  /// Session-mode routing: id -> owning shard. Serialized in id order.
   std::unordered_map<std::uint32_t, std::uint32_t> session_shard_;
+  /// Live sessions per shard, i.e. session_shard_ counted by owner. Kept at
+  /// every routing commit (recounted on restore) so the per-round fail-closed
+  /// check costs O(shards), not O(population). Exact sums of 1.0.
+  std::vector<double> shard_clients_;
   /// A push_session_delta failed mid-broadcast: some shards applied their
   /// slice, routing was not committed. Settlement and checkpoints refuse to
   /// run, and only a verbatim retry (pinned by the batch hash) may follow.

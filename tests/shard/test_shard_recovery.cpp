@@ -246,6 +246,135 @@ TEST_F(ShardRecovery, FailedDeltaPushWedgesSettlementUntilVerbatimRetry) {
   EXPECT_EQ(retried.error().code, core::Errc::kUnavailable);
 }
 
+// A session-fed worker restored from a per-shard checkpoint taken BEFORE the
+// last delta holds fewer clients than routing sent it. Its rounds still line
+// up (a delta does not advance the round clock), so only the per-shard
+// client count can catch it: the round must fail closed, typed.
+TEST_F(ShardRecovery, StaleSessionCheckpointFailsClosedOnClientCount) {
+  TempDir dir{"stale_sessions"};
+  ShardedConfig config;
+  config.shards = 2;
+  config.checkpoint_dir = dir.path();
+  ShardedExchange exchange{scenario(), config};
+  const auto& plan = exchange.plan();
+  std::uint32_t city0 = UINT32_MAX;
+  for (std::uint32_t c = 0; c < plan.shard_of_city.size(); ++c) {
+    if (plan.shard_of_city[c] == 0) city0 = c;
+  }
+  ASSERT_NE(city0, UINT32_MAX);
+
+  std::vector<proto::ShardSessionAdd> first;
+  for (std::uint32_t id = 0; id < 200; ++id) {
+    first.push_back({id, id % static_cast<std::uint32_t>(plan.shard_of_city.size()),
+                     1.5});
+  }
+  ASSERT_TRUE(exchange.push_session_delta(first, {}).ok());
+  ASSERT_TRUE(exchange.try_run_round().ok());
+  ASSERT_TRUE(exchange.checkpoint_now().ok());
+
+  // Lands on shard 0 after its checkpoint; the restore will not have it.
+  const std::vector<proto::ShardSessionAdd> late{{500, city0, 2.5}, {501, city0, 2.5}};
+  ASSERT_TRUE(exchange.push_session_delta(late, {}).ok());
+  exchange.kill_worker(0);
+
+  const auto result = exchange.try_run_round();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, core::Errc::kUnavailable);
+  EXPECT_NE(result.error().message.find("routing expects"), std::string::npos)
+      << result.error().message;
+  EXPECT_EQ(exchange.worker_restarts(), 1u);
+}
+
+// Per-shard routing counts are derived state: a coordinator restored from an
+// embedded snapshot or from its store must rebuild them, keep them through
+// later deltas, and settle every later round byte-identically to a run that
+// was never interrupted.
+TEST_F(ShardRecovery, RestoredRoutingCountsSettleLikeTheUninterruptedRun) {
+  const std::uint32_t cities =
+      static_cast<std::uint32_t>(scenario().world().cities().size());
+  constexpr std::size_t kDeltaRounds = 6;
+  constexpr std::size_t kCrashAfter = 3;
+  // Round r adds 150 sessions, re-adds the last 10 of the round before
+  // unchanged, and removes the oldest 60 still live plus one unknown id.
+  // Neither the re-adds nor the unknown remove may move a count.
+  const auto add_of = [&](std::uint32_t id) {
+    return proto::ShardSessionAdd{id, (id * 7) % cities, id % 3 == 0 ? 1.2 : 3.6};
+  };
+  const auto delta_of = [&](std::size_t r) {
+    std::pair<std::vector<proto::ShardSessionAdd>, std::vector<std::uint32_t>> d;
+    for (std::uint32_t k = 0; k < 150; ++k) {
+      d.first.push_back(add_of(static_cast<std::uint32_t>(r * 150 + k)));
+    }
+    for (std::uint32_t k = 0; r > 0 && k < 10; ++k) {
+      d.first.push_back(add_of(static_cast<std::uint32_t>(r * 150 - 10 + k)));
+    }
+    for (std::uint32_t k = 0; k < 60; ++k) {
+      d.second.push_back(static_cast<std::uint32_t>(r * 60 + k));
+    }
+    d.second.push_back(UINT32_MAX - static_cast<std::uint32_t>(r));
+    return d;
+  };
+  const auto run_rounds = [&](ShardedExchange& exchange, std::size_t from,
+                              std::size_t to, RunCapture& capture) {
+    for (std::size_t r = from; r < to; ++r) {
+      const auto [adds, removes] = delta_of(r);
+      ASSERT_TRUE(exchange.push_session_delta(adds, removes).ok()) << r;
+      auto report = exchange.try_run_round();
+      ASSERT_TRUE(report.ok()) << "round " << r << ": " << report.error().message;
+      capture.reports.push_back(report.value());
+    }
+    const auto placed = exchange.settlement().placements();
+    capture.placements.assign(placed.begin(), placed.end());
+  };
+
+  ShardedConfig config;
+  config.shards = 3;
+  RunCapture uninterrupted;
+  {
+    ShardedExchange exchange{scenario(), config};
+    run_rounds(exchange, 0, kDeltaRounds, uninterrupted);
+  }
+
+  {
+    RunCapture head;
+    std::vector<std::uint8_t> snapshot;
+    {
+      ShardedExchange first{scenario(), config};
+      run_rounds(first, 0, kCrashAfter, head);
+      snapshot = first.save_state();
+    }
+    ShardedExchange resumed{scenario(), config};
+    ASSERT_TRUE(resumed.restore_state(snapshot).ok());
+    RunCapture tail;
+    run_rounds(resumed, kCrashAfter, kDeltaRounds, tail);
+    head.reports.insert(head.reports.end(), tail.reports.begin(), tail.reports.end());
+    head.placements = tail.placements;
+    shard_test::expect_identical(uninterrupted, head, "embedded snapshot");
+  }
+
+  for (const ShardBackend backend :
+       {ShardBackend::kInproc, ShardBackend::kProcess}) {
+    TempDir dir{std::string{"routing_"} + std::string{to_string(backend)}};
+    ShardedConfig stored = config;
+    stored.backend = backend;
+    stored.checkpoint_dir = dir.path();
+    stored.checkpoint_every_rounds = 1;
+    RunCapture head;
+    {
+      ShardedExchange first{scenario(), stored};
+      run_rounds(first, 0, kCrashAfter, head);
+    }
+    ShardedExchange resumed{scenario(), stored};
+    ASSERT_TRUE(resumed.resume_from_stores().ok()) << to_string(backend);
+    RunCapture tail;
+    run_rounds(resumed, kCrashAfter, kDeltaRounds, tail);
+    head.reports.insert(head.reports.end(), tail.reports.begin(), tail.reports.end());
+    head.placements = tail.placements;
+    shard_test::expect_identical(uninterrupted, head,
+                                 std::string{"stores "} + std::string{to_string(backend)});
+  }
+}
+
 // Coordinator crash: a FRESH ShardedExchange over the same stores resumes
 // via resume_from_stores() and the tail is byte-identical to the
 // uninterrupted run — for both backends, killing a worker mid-tail too.
