@@ -11,7 +11,7 @@ constexpr std::uint32_t kUnmapped = UINT32_MAX;
 
 OptimizeResult optimize(std::span<const ClientGroup> groups,
                         std::span<const BidView> bids, const OptimizerConfig& config) {
-  const obs::SpanTracer::Scoped span{config.obs.tracer, "broker.optimize"};
+  const auto span = config.obs.span("broker.optimize");
 
   // Share-id -> group index as a dense direct-index table (share and cluster
   // ids are dense by construction, so the tables stay small; the optimizer

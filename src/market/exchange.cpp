@@ -72,6 +72,7 @@ VdxExchange::VdxExchange(const sim::Scenario& scenario, ExchangeConfig config)
   // The exchange always has a live registry so RoundReport telemetry can be
   // read back from counters; tracer/journal stay opt-in (null = no-op).
   obs_ = config_.obs;
+  obs_.clock = &logical_clock_;
   if (obs_.metrics == nullptr) obs_.metrics = &owned_metrics_;
   counters_.rounds = obs_.metrics->counter("exchange.rounds");
   counters_.messages = obs_.metrics->counter("exchange.messages");
@@ -165,7 +166,8 @@ RoundReport VdxExchange::run_round() {
   engine.faults = injector_.get();
   engine.deadlines = config_.chaos.deadlines;
   engine.obs = obs_;
-  report.wire = proto::run_decision_round(*broker_agent_, participants, engine);
+  report.wire =
+      proto::run_decision_round(*broker_agent_, participants, engine, &logical_clock_);
 
   counters_.rounds.add();
   counters_.messages.add(static_cast<double>(report.wire.chaos.messages));
@@ -359,7 +361,7 @@ core::Result<proto::DeliveryOutcome> VdxExchange::deliver(std::uint32_t session_
   query.location = city.value();
   query.bitrate_mbps = bitrate_mbps;
   proto::DeliveryOutcome outcome =
-      proto::run_delivery(query, *broker_agent_, frontend, obs_);
+      proto::run_delivery(query, *broker_agent_, frontend, obs_, &logical_clock_);
   if (outcome.rehomed) {
     counters_.failovers.add();
     if (peering) counters_.peering_rehomed.add();
@@ -439,7 +441,7 @@ std::vector<std::uint8_t> VdxExchange::save_state() const {
   {
     proto::ByteWriter out;
     out.write_u64(rounds_completed_);
-    out.write_u64(obs_.tracer != nullptr ? obs_.tracer->logical_now() : 0);
+    out.write_u64(logical_clock_);
     write_f64_vector(out, background_loads_);
     write_f64_vector(out, last_cluster_loads_);
     writer.add_section(kSectionExchangeCore, out.take());
@@ -707,7 +709,7 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
   }
 
   rounds_completed_ = static_cast<std::size_t>(rounds);
-  if (obs_.tracer != nullptr) obs_.tracer->set_logical(logical);
+  logical_clock_ = logical;
   background_loads_ = std::move(background_loads);
   last_cluster_loads_ = std::move(cluster_loads);
   for (std::size_t i = 0; i < strategies_.size(); ++i) {

@@ -153,6 +153,11 @@ class ExchangeFrontend {
       std::uint32_t session_id, geo::CityId city, double bitrate_mbps) = 0;
   /// The registry backing round telemetry.
   [[nodiscard]] virtual const obs::MetricsRegistry& metrics() const = 0;
+  /// The run's one logical clock (DESIGN.md §7): advanced by every protocol
+  /// round and checkpointed with the exchange. A driver that ticks it
+  /// between rounds (the serving daemon) advances it here and points its
+  /// Observer at it, so every stamp in the run reads the same clock.
+  [[nodiscard]] virtual std::uint64_t& logical_clock() noexcept = 0;
   /// Internal links currently quarantined by an open circuit breaker. The
   /// monolith has no internal links, so the default is 0; the sharded
   /// frontend reports open shard-link breakers (the daemon folds this into
@@ -236,6 +241,9 @@ class VdxExchange final : public ExchangeFrontend {
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept override {
     return *obs_.metrics;
   }
+  [[nodiscard]] std::uint64_t& logical_clock() noexcept override {
+    return logical_clock_;
+  }
 
   /// Serializes every piece of cross-round exchange state — the broker's
   /// reputation ledger / stale-bid cache / demand override, each strategy's
@@ -266,11 +274,14 @@ class VdxExchange final : public ExchangeFrontend {
   std::unique_ptr<VdxBrokerAgent> broker_agent_;
   std::unique_ptr<proto::FaultInjector> injector_;
   std::size_t rounds_completed_ = 0;
+  /// Logical clock in transport ticks; obs_.clock points here.
+  std::uint64_t logical_clock_ = 0;
   std::vector<double> last_cluster_loads_;
 
   /// Fallback registry when ExchangeConfig::obs brings none.
   obs::MetricsRegistry owned_metrics_;
-  /// Effective observer handed to every layer (metrics always non-null).
+  /// Effective observer handed to every layer (metrics always non-null,
+  /// clock always this exchange's).
   obs::Observer obs_;
   /// Pre-interned `exchange.*` handles (hot path: one atomic op each).
   struct ExchangeCounters {

@@ -229,7 +229,7 @@ FederationResult run_federated_marketplace(const sim::Scenario& scenario,
 
   for (std::size_t region = 0; region < outcomes.size(); ++region) {
     const RegionOutcome& out = outcomes[region];
-    if (obs.tracer != nullptr) obs.tracer->instant("federation.region");
+    obs.instant("federation.region");
     obs.record(obs::EventKind::kSolve, static_cast<std::uint32_t>(region),
                static_cast<double>(out.instance_options));
     result.fallback_clients += out.fallback_clients;

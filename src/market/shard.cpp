@@ -791,6 +791,7 @@ obs::Observer ShardedExchange::resilience_obs() const noexcept {
   obs.metrics = &shard_metrics_;
   obs.tracer = config_.exchange.obs.tracer;
   obs.journal = config_.exchange.obs.journal;
+  obs.clock = &settlement_->logical_clock();
   return obs;
 }
 

@@ -290,6 +290,11 @@ class ShardedExchange final : public ExchangeFrontend {
   [[nodiscard]] core::Result<proto::DeliveryOutcome> deliver(
       std::uint32_t session_id, geo::CityId city, double bitrate_mbps) override;
   [[nodiscard]] const obs::MetricsRegistry& metrics() const override;
+  /// The settlement exchange's clock: the coordinator runs the only
+  /// protocol rounds.
+  [[nodiscard]] std::uint64_t& logical_clock() noexcept override {
+    return settlement_->logical_clock();
+  }
 
   void set_failed(cdn::CdnId cdn, bool failed);
   void set_fraudulent(cdn::CdnId cdn, bool fraudulent);
@@ -383,7 +388,7 @@ class ShardedExchange final : public ExchangeFrontend {
   }
   /// Observer for resilience bookkeeping: shard-side registry (never the
   /// settlement metrics, whose export must stay byte-identical to the
-  /// monolith's) plus the settlement journal/tracer for typed transitions.
+  /// monolith's) plus the settlement journal, tracer and clock for typed transitions.
   [[nodiscard]] obs::Observer resilience_obs() const noexcept;
   /// Partitions a dense global demand vector into per-shard ShardGroup
   /// slices (index = global id). Throws std::invalid_argument on non-dense

@@ -59,7 +59,7 @@ struct Event {
   /// Monotonic position in the run (assigned by the journal; survives
   /// ring overwrites, so gaps in an exported window are detectable).
   std::uint64_t seq = 0;
-  /// Engine logical clock when recorded (0 when no tracer drives one).
+  /// Engine logical clock when recorded (0 outside a clocked engine).
   std::uint64_t logical = 0;
   /// Exchange round the event belongs to.
   std::uint32_t round = 0;

@@ -1,13 +1,15 @@
 // vdx::obs umbrella: the Observer bundle threaded through the stack, and
 // ScopedTimer, the one sanctioned wall-clock timing helper (DESIGN.md §7).
 //
-// Instrumented layers take an `Observer` by value — three nullable pointers.
+// Instrumented layers take an `Observer` by value — nullable pointers.
 // The default Observer is the no-op sink: every instrumentation site guards
 // on a null check (or uses a default-constructed no-op handle), so a
 // non-observed hot loop pays a predictable branch and nothing else.
 #pragma once
 
 #include <chrono>
+#include <cstdint>
+#include <string_view>
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -21,13 +23,20 @@ struct Observer {
   MetricsRegistry* metrics = nullptr;
   SpanTracer* tracer = nullptr;
   RunJournal* journal = nullptr;
+  /// Read-only view of the logical clock of the engine running the protocol.
+  /// The engine that owns the clock points its own copy here, so spans and
+  /// journal records stamp the same value whichever sinks are attached.
+  const std::uint64_t* clock = nullptr;
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return metrics != nullptr || tracer != nullptr || journal != nullptr;
-  }
-  /// Logical clock for journal stamping (0 without a tracer).
+  /// Logical clock for span and journal stamping (0 outside an engine).
   [[nodiscard]] std::uint64_t logical_now() const noexcept {
-    return tracer != nullptr ? tracer->logical_now() : 0;
+    return clock != nullptr ? *clock : 0;
+  }
+  [[nodiscard]] SpanTracer::Scoped span(std::string_view name) const {
+    return SpanTracer::Scoped{tracer, name, clock};
+  }
+  void instant(std::string_view name) const {
+    if (tracer != nullptr) tracer->instant(name, logical_now());
   }
   void record(EventKind kind, std::uint32_t subject = RunJournal::kNoSubject,
               double value = 0.0) const {

@@ -30,7 +30,7 @@ std::uint32_t SpanTracer::intern(std::string_view name) {
   return id;
 }
 
-std::uint64_t SpanTracer::begin(std::string_view name) {
+std::uint64_t SpanTracer::begin(std::string_view name, std::uint64_t logical) {
   if (spans_.size() >= capacity_) {
     ++dropped_;
     return 0;
@@ -41,21 +41,21 @@ std::uint64_t SpanTracer::begin(std::string_view name) {
   span.depth = static_cast<std::uint32_t>(open_stack_.size());
   span.name_id = intern(name);
   span.seq_open = ++seq_;
-  span.logical_open = logical_;
+  span.logical_open = logical;
   span.wall_open_s = wall_now();
   spans_.push_back(span);
   open_stack_.push_back(span.id);
   return span.id + 1;
 }
 
-void SpanTracer::end(std::uint64_t token) noexcept {
+void SpanTracer::end(std::uint64_t token, std::uint64_t logical) noexcept {
   if (token == 0 || token > spans_.size()) return;
   const auto id = static_cast<std::uint32_t>(token - 1);
   Span& span = spans_[id];
   if (span.closed) return;
   span.closed = true;
   span.seq_close = ++seq_;
-  span.logical_close = logical_;
+  span.logical_close = logical;
   span.wall_close_s = wall_now();
   // RAII usage is LIFO; defensively unwind anything left open above us.
   while (!open_stack_.empty()) {
@@ -65,7 +65,9 @@ void SpanTracer::end(std::uint64_t token) noexcept {
   }
 }
 
-void SpanTracer::instant(std::string_view name) { end(begin(name)); }
+void SpanTracer::instant(std::string_view name, std::uint64_t logical) {
+  end(begin(name, logical), logical);
+}
 
 std::string_view SpanTracer::name(const Span& span) const {
   return names_[span.name_id];

@@ -2,12 +2,12 @@
 //
 // Each span records its interned name, parent/depth, a global event-sequence
 // pair (seq_open/seq_close), the engine's *logical* clock at open/close, and
-// wall-clock timestamps. The logical clock is advanced explicitly by the
-// instrumented code (the chaos engine feeds it per-step tick counts; the
-// perfect transport advances one tick per protocol step), so two runs with
-// the same seed produce identical span streams. Wall-clock fields exist for
-// profiling but are excluded from write_jsonl() by default precisely so the
-// exported trace is byte-stable under a fixed seed.
+// wall-clock timestamps. The logical clock belongs to the engine that runs
+// the protocol; spans only read it (begin/end take the reading, Scoped reads
+// the clock it points at), so two runs with the same seed produce identical
+// span streams. Wall-clock fields exist for profiling but are excluded from
+// write_jsonl() by default precisely so the exported trace is byte-stable
+// under a fixed seed.
 //
 // The tracer is bounded: spans beyond `capacity` are dropped (and counted)
 // rather than grown without limit. It is deliberately single-threaded — the
@@ -29,21 +29,14 @@ class SpanTracer {
  public:
   explicit SpanTracer(std::size_t capacity = 1 << 16);
 
-  /// Opens a span nested under the currently open one. Returns a token for
-  /// end(); token 0 means the span was dropped (capacity) and end(0) is a
-  /// no-op.
-  [[nodiscard]] std::uint64_t begin(std::string_view name);
-  void end(std::uint64_t token) noexcept;
+  /// Opens a span nested under the currently open one, stamped with the
+  /// engine's logical clock reading. Returns a token for end(); token 0
+  /// means the span was dropped (capacity) and end(0) is a no-op.
+  [[nodiscard]] std::uint64_t begin(std::string_view name, std::uint64_t logical = 0);
+  void end(std::uint64_t token, std::uint64_t logical = 0) noexcept;
   /// Records a zero-duration marker span (e.g. a participant-local protocol
   /// step the engine cannot time).
-  void instant(std::string_view name);
-
-  /// Advances the logical clock; ticks come from the protocol engine.
-  void advance(std::uint64_t ticks) noexcept { logical_ += ticks; }
-  [[nodiscard]] std::uint64_t logical_now() const noexcept { return logical_; }
-  /// Restores the clock from a checkpoint so post-resume events carry the
-  /// same logical stamps as an uninterrupted run.
-  void set_logical(std::uint64_t logical) noexcept { logical_ = logical; }
+  void instant(std::string_view name, std::uint64_t logical = 0);
 
   struct Span {
     std::uint32_t id = 0;
@@ -69,19 +62,27 @@ class SpanTracer {
   /// under a fixed seed (logical clock + sequence numbers only).
   void write_jsonl(std::ostream& out, bool include_wall = false) const;
 
-  /// RAII span. A null tracer is a no-op, so call sites stay unconditional.
+  /// RAII span stamped from `clock` (0 when null) on open and close. A null
+  /// tracer is a no-op, so call sites stay unconditional.
   class Scoped {
    public:
-    Scoped(SpanTracer* tracer, std::string_view name)
-        : tracer_(tracer), token_(tracer != nullptr ? tracer->begin(name) : 0) {}
+    Scoped(SpanTracer* tracer, std::string_view name,
+           const std::uint64_t* clock = nullptr)
+        : tracer_(tracer), clock_(clock),
+          token_(tracer != nullptr ? tracer->begin(name, read(clock)) : 0) {}
     ~Scoped() {
-      if (tracer_ != nullptr) tracer_->end(token_);
+      if (tracer_ != nullptr) tracer_->end(token_, read(clock_));
     }
     Scoped(const Scoped&) = delete;
     Scoped& operator=(const Scoped&) = delete;
 
    private:
+    static std::uint64_t read(const std::uint64_t* clock) noexcept {
+      return clock != nullptr ? *clock : 0;
+    }
+
     SpanTracer* tracer_;
+    const std::uint64_t* clock_;
     std::uint64_t token_;
   };
 
@@ -95,7 +96,6 @@ class SpanTracer {
   std::vector<std::string> names_;
   std::map<std::string, std::uint32_t, std::less<>> name_index_;
   std::uint64_t seq_ = 0;
-  std::uint64_t logical_ = 0;
   std::size_t dropped_ = 0;
   std::uint64_t epoch_ns_ = 0;
 };

@@ -8,14 +8,17 @@
 // Delivery Protocol: Query -> Result -> Request -> Delivery, with a failover
 // re-resolution when the chosen cluster turns out to be dark.
 //
+// Both protocols advance the logical clock the caller hands them (the
+// exchange owns one per run): one tick per fault-free step.
+//
 // Chaos mode (paper §6.3): when a FaultInjector is plugged into the config,
-// every frame can be dropped, delayed, duplicated, or mutated. The engine
-// then runs a logical clock per protocol step: each message is retried with
-// exponential backoff until it arrives, the per-step deadline expires, or
-// the retry budget is exhausted; mutated frames are rejected by the
-// checksummed codec (never thrown across the engine) and counted. Messages
-// that miss their deadline are simply absent from what the receiver sees —
-// the round always completes, degraded rather than stalled.
+// every frame can be dropped, delayed, duplicated, or mutated. A step then
+// lasts until its latest arrival: each message is retried with exponential
+// backoff until it arrives, the per-step deadline expires, or the retry
+// budget is exhausted; mutated frames are rejected by the checksummed codec
+// (never thrown across the engine) and counted. Messages that miss their
+// deadline are simply absent from what the receiver sees — the round always
+// completes, degraded rather than stalled.
 #pragma once
 
 #include <cstddef>
@@ -102,20 +105,22 @@ struct DecisionEngineConfig {
   DeadlineConfig deadlines;
   /// Observability sinks (no-op by default). With a tracer attached, every
   /// round emits spans for all 7 Decision-Protocol steps (estimate, gather,
-  /// share, matching, announce, optimize, accept), and the tracer's logical
-  /// clock advances with the transport ticks (1 tick per fault-free step;
-  /// the chaos engine's per-step completion times otherwise), so traces are
-  /// byte-stable under a fixed seed. The journal receives per-message retry,
-  /// timeout, and decode-reject events; the registry aggregates `proto.*`
-  /// counters once per round.
+  /// share, matching, announce, optimize, accept). Spans and journal events
+  /// are stamped from the engine's logical clock, never from a sink, so
+  /// traces are byte-stable under a fixed seed. The journal receives
+  /// per-message retry, timeout, and decode-reject events; the registry
+  /// aggregates `proto.*` counters once per round.
   obs::Observer obs;
 };
 
 /// Runs one Decision Protocol round. Every message is encoded and re-decoded
-/// through the wire codec.
+/// through the wire codec. Advances `*clock` by the round's transport ticks
+/// (1 per fault-free step; each chaos step's completion time otherwise); a
+/// null clock runs the round on a throwaway one starting at 0.
 [[nodiscard]] RoundStats run_decision_round(BrokerParticipant& broker,
                                             std::span<CdnParticipant* const> cdns,
-                                            const DecisionEngineConfig& config = {});
+                                            const DecisionEngineConfig& config = {},
+                                            std::uint64_t* clock = nullptr);
 
 /// Client + directory side of the Delivery Protocol.
 class DeliveryDirectory {
@@ -153,12 +158,14 @@ struct DeliveryOutcome {
 
 /// Runs the 4-step Delivery Protocol for one client. If the resolved cluster
 /// fails to deliver, the directory is asked once for an alternative and the
-/// request is replayed there (outcome records the switch). With observability
+/// request is replayed there (outcome records the switch). Advances `*clock`
+/// one tick per query, resolve and request step. With observability
 /// attached, emits `delivery.*` spans, counters, and a kFailover journal
 /// event when the session is re-homed.
 [[nodiscard]] DeliveryOutcome run_delivery(const QueryMessage& query,
                                            DeliveryDirectory& directory,
                                            ClusterFrontend& frontend,
-                                           const obs::Observer& obs = {});
+                                           const obs::Observer& obs = {},
+                                           std::uint64_t* clock = nullptr);
 
 }  // namespace vdx::proto

@@ -86,6 +86,8 @@ ServeDaemon::ServeDaemon(const sim::Scenario& scenario, ArrivalFeed& feed,
     exchange_ =
         std::make_unique<market::VdxExchange>(scenario_, config_.exchange);
   }
+  // One clock per run: the daemon ticks and stamps the exchange's.
+  obs_.clock = &exchange_->logical_clock();
   active_ = std::make_unique<ActiveSessions>();
   latency_ = std::make_unique<LatencyRecorder>(*obs_.metrics);
   zero_loads_.assign(scenario_.catalog().clusters().size(), 0.0);
@@ -128,9 +130,7 @@ core::Result<ServeReport> ServeDaemon::resume(
         "serve resume: the arrival feed cannot seek (live feeds are not "
         "resumable)");
   }
-  // Restore order matters: the exchange restore also sets the tracer's
-  // logical clock to the exchange's saved value; the daemon's own clock
-  // (which may run ahead across skipped rounds) is reapplied after.
+  // The exchange restore also restores the run's logical clock.
   const core::Status restored = exchange_->restore_state(cp.exchange_state);
   if (!restored.ok()) return core::Result<ServeReport>{restored.error()};
   try {
@@ -145,7 +145,6 @@ core::Result<ServeReport> ServeDaemon::resume(
         cp.journal.events, cp.journal.total, cp.journal.round);
     if (!journal.ok()) return core::Result<ServeReport>{journal.error()};
   }
-  if (obs_.tracer != nullptr) obs_.tracer->set_logical(cp.logical_clock);
   decision_rounds_ = cp.decision_rounds;
   skipped_rounds_ = cp.skipped_rounds;
   queue_dropped_ = cp.queue_dropped;
@@ -176,7 +175,7 @@ state::DaemonCheckpoint ServeDaemon::make_checkpoint(
   cp.shed_mbps_total = shed_mbps_total_;
   cp.shed_clients_total = shed_clients_total_;
   cp.shed_rounds = shed_rounds_;
-  cp.logical_clock = obs_.tracer != nullptr ? obs_.tracer->logical_now() : 0;
+  cp.logical_clock = obs_.logical_now();
   if (obs_.journal != nullptr) {
     cp.journal.events = obs_.journal->events();
     cp.journal.total = obs_.journal->total_recorded();
@@ -261,7 +260,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
     }
 
     const double t = (static_cast<double>(r) + 0.5) * config_.round_s;
-    if (obs_.tracer != nullptr) obs_.tracer->advance(1);
+    ++exchange_->logical_clock();
 
     std::vector<trace::Session> arrivals = feed_->next_until(t);
     std::size_t turned_away = 0;

@@ -237,9 +237,6 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
           cp.journal.events, cp.journal.total, cp.journal.round);
       if (!restored.ok()) throw std::invalid_argument{restored.error().message};
     }
-    if (config_.obs.tracer != nullptr) {
-      config_.obs.tracer->set_logical(cp.logical_clock);
-    }
     // The kResume event lands at exactly the seq the uninterrupted run's
     // kCheckpoint occupied (the snapshot captured the journal *before*
     // recording kCheckpoint), so the two journals agree on every later seq.
@@ -268,8 +265,6 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
     cp.decision_rounds = result.decision_rounds;
     cp.background_recomputes = result.background_recomputes;
     cp.shed_sessions = result.shed_sessions;
-    cp.logical_clock =
-        config_.obs.tracer != nullptr ? config_.obs.tracer->logical_now() : 0;
     if (config_.obs.journal != nullptr) {
       cp.journal.events = config_.obs.journal->events();
       cp.journal.total = config_.obs.journal->total_recorded();
@@ -288,7 +283,7 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
   std::size_t executed = 0;
   for (std::size_t e = start_epoch; e < epochs; ++e) {
     {
-      const obs::SpanTracer::Scoped span{config_.obs.tracer, "timeline.epoch"};
+      const auto span = config_.obs.span("timeline.epoch");
       const obs::ScopedTimer timer{epoch_seconds};
       const double mid = (static_cast<double>(e) + 0.5) * config_.epoch_s;
 

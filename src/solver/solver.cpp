@@ -62,7 +62,7 @@ Assignment solve(const AssignmentProblem& problem, const SolveOptions& options) 
   Backend backend = options.backend;
   if (backend == Backend::kAuto) backend = pick_backend(problem);
 
-  const obs::SpanTracer::Scoped span{options.obs.tracer, "solver.solve"};
+  const auto span = options.obs.span("solver.solve");
   if (options.obs.metrics != nullptr) {
     options.obs.metrics
         ->counter("solver.invocations", {{"backend", std::string{to_string(backend)}}})

@@ -88,7 +88,8 @@ struct TimelineCheckpoint {
   std::uint64_t background_recomputes = 0;
   /// Sessions shed by admission control so far (overload-graceful runs).
   std::uint64_t shed_sessions = 0;
-  /// SpanTracer logical clock, so post-resume events carry the same stamps.
+  /// Logical clock of the run. The timeline runs no transport round, so its
+  /// clock stays 0; the word keeps the snapshot layout.
   std::uint64_t logical_clock = 0;
   JournalState journal;
 };
@@ -118,8 +119,8 @@ struct DaemonCheckpoint {
   double shed_mbps_total = 0.0;
   double shed_clients_total = 0.0;
   std::uint64_t shed_rounds = 0;
-  /// SpanTracer logical clock at the checkpoint (may run ahead of the
-  /// exchange's own saved clock when zero-active rounds were skipped).
+  /// The exchange's logical clock at the checkpoint (equal to the clock in
+  /// exchange_state, which resume restores; kept so the layout stays).
   std::uint64_t logical_clock = 0;
   JournalState journal;
 };

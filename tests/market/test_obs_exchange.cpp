@@ -99,7 +99,8 @@ TEST_F(ObsExchangeTest, TraceCoversAllSevenDecisionStepsOnBothTransports) {
                                        << step << " span missing";
     }
     // The logical clock moved: the trace is not flat.
-    EXPECT_GT(tracer.logical_now(), 0u);
+    EXPECT_GT(exchange.logical_clock(), 0u);
+    EXPECT_EQ(tracer.spans().front().logical_close, exchange.logical_clock());
   }
 }
 

@@ -2,6 +2,7 @@
 // deterministic (wall-clock-free) JSONL export.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -37,20 +38,20 @@ TEST(SpanTracerTest, NestedSpansRecordParentAndDepth) {
 
 TEST(SpanTracerTest, LogicalClockStampsOpenAndClose) {
   SpanTracer tracer;
-  tracer.advance(10);
-  const auto span = tracer.begin("step");
-  tracer.advance(7);
-  tracer.end(span);
+  std::uint64_t clock = 10;  // the engine's clock; the span only reads it
+  {
+    const SpanTracer::Scoped span{&tracer, "step", &clock};
+    clock += 7;
+  }
   ASSERT_EQ(tracer.spans().size(), 1u);
   EXPECT_EQ(tracer.spans()[0].logical_open, 10u);
   EXPECT_EQ(tracer.spans()[0].logical_close, 17u);
-  EXPECT_EQ(tracer.logical_now(), 17u);
+  EXPECT_EQ(clock, 17u);
 }
 
 TEST(SpanTracerTest, InstantIsZeroDurationAndClosed) {
   SpanTracer tracer;
-  tracer.advance(5);
-  tracer.instant("estimate");
+  tracer.instant("estimate", 5);
   ASSERT_EQ(tracer.spans().size(), 1u);
   const auto& span = tracer.spans()[0];
   EXPECT_TRUE(span.closed);
@@ -87,13 +88,11 @@ TEST(SpanTracerTest, ScopedWithNullTracerIsNoOp) {
 
 TEST(SpanTracerTest, DefaultJsonlIsDeterministicAndWallClockFree) {
   const auto run = [](SpanTracer& tracer) {
-    const auto round = tracer.begin("round");
-    tracer.advance(3);
-    tracer.instant("estimate");
-    const auto solve = tracer.begin("solve");
-    tracer.advance(2);
-    tracer.end(solve);
-    tracer.end(round);
+    const auto round = tracer.begin("round", 0);
+    tracer.instant("estimate", 3);
+    const auto solve = tracer.begin("solve", 3);
+    tracer.end(solve, 5);
+    tracer.end(round, 5);
   };
   SpanTracer first;
   SpanTracer second;

@@ -190,7 +190,9 @@ int run(core::Flags& flags) {
   obs::RunJournal journal;
   obs::Observer obs;
   obs.metrics = &metrics;
-  obs.tracer = &tracer;
+  // The logical clock lives in the exchange, so the bounded tracer is
+  // attached only when its spans are exported.
+  if (!opt.trace_out.empty()) obs.tracer = &tracer;
   obs.journal = &journal;
 
   // The guard outlives the daemon: any exit path — drain, horizon, a thrown
